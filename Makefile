@@ -1,9 +1,9 @@
-# DataSpread developer targets. CI runs `make verify`, `make apicheck` and
-# `make bench`.
+# DataSpread developer targets. CI runs `make verify`, `make apicheck`,
+# `make bench` and `make perfcheck`.
 
 GO ?= go
 
-.PHONY: all build test race vet fmt bench fuzz faultcheck verify apicheck lint servecheck
+.PHONY: all build test race vet fmt bench fuzz faultcheck verify apicheck lint servecheck perfcheck
 
 all: build test
 
@@ -45,10 +45,20 @@ apicheck:
 # and runs at least once (so benchmark code cannot rot), and cmd/dsbench
 # emits the headline results as machine-readable JSON — including the
 # prepared-vs-text point-query pair, the FileStore-vs-MmapStore backend
-# pairs and the cold-open scaling series.
+# pairs and the cold-open scaling series — into the git-ignored
+# bench-out.json, leaving the archived BENCH_pr*.json files untouched.
 bench:
 	$(GO) test -bench=. -benchtime=1x -run=NONE .
-	$(GO) run ./cmd/dsbench -json BENCH_pr9.json
+	$(GO) run ./cmd/dsbench -json bench-out.json
+
+# perfcheck vets and tests the _perfbench module (the BENCHMARK.json
+# harness). It imports the engine's internal packages, but the leading
+# underscore keeps it out of the main module's ./..., so without this
+# target an internal API change could break the benchmark unseen. Its smoke
+# test runs every workload once.
+perfcheck:
+	$(GO) vet -C _perfbench ./...
+	$(GO) test -C _perfbench ./...
 
 # faultcheck runs the exhaustive single-fault sweep (internal/core): a fixed
 # workload is re-run once per mutating filesystem operation with that one

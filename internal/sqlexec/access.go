@@ -347,7 +347,7 @@ func buildIndexPath(tbl *catalog.Table, si *secIndex, idxCols []int, unique bool
 	// per distinct value — the primary-key tree is probed with exact keys,
 	// a secondary index with one prefix range per value. Probes are sorted
 	// in key order for deterministic iteration; candidates still emit in
-	// RowID order (collectPathIDs sorts) so results match the full scan
+	// RowID order (collectPathIDsLocked sorts) so results match the full scan
 	// row-for-row.
 	if eqLen == 0 && len(idxCols) == 1 {
 		for _, sg := range sargs {
@@ -502,17 +502,9 @@ func rangeBounds(prefix []byte, loVal *sheet.Value, loIncl bool, hiVal *sheet.Va
 // it (tag 0) encode NULL.
 var numberFloor = []byte{1}
 
-// collectPathIDs gathers the candidate RowIDs of a non-ordered path in
-// ascending RowID order, so downstream results keep the exact row order a
-// full scan would produce.
-func (db *Database) collectPathIDs(table string, path *accessPath) []tablestore.RowID {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	return db.collectPathIDsLocked(table, path)
-}
-
-// collectPathIDsLocked is collectPathIDs for callers already holding the
-// database read lock (scan paths that keep the lock across the row fetch).
+// collectPathIDsLocked gathers the candidate RowIDs of a non-ordered path
+// in ascending RowID order, so downstream results keep the exact row order
+// a full scan would produce. The caller holds the database read lock.
 // dslint:requires(engine)
 func (db *Database) collectPathIDsLocked(table string, path *accessPath) []tablestore.RowID {
 	var ids []tablestore.RowID

@@ -5,7 +5,6 @@ import (
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // EXPLAIN. The statement is planned exactly as execution would plan it —
@@ -85,40 +84,28 @@ func (db *Database) explainSelect(stmt *sqlparser.SelectStmt, env *execEnv) ([]s
 }
 
 // explainScanExtras renders the physical-scan annotations of one named-table
-// source: zone-map page skipping (when sargable bounds reached a store with
-// summaries) and, for parallel-eligible full scans, the worker count and the
-// morsel partitions the pruned row space splits into.
+// source: zone-map page skipping (when sargable bounds exist) and, for
+// parallel full scans, the worker count and the morsel partitions. It pins
+// the snapshot the scan would pin and reads the same partitions off it.
 func (db *Database) explainScanExtras(src *srcState) string {
 	if src.store == nil {
 		return ""
 	}
 	_, scanCols := src.scanSchema()
-	out := ""
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if len(src.zoneBounds) > 0 {
-		if pruner, ok := src.store.(tablestore.Pruner); ok {
-			total, skipped := pruner.PruneStats(scanCols, src.zoneBounds)
-			out += fmt.Sprintf(", zone maps: %d/%d pages skipped", skipped, total)
-		}
-	}
-	if src.path != nil && src.path.kind != pathFull {
-		return out
-	}
 	workers := db.parWorkers()
-	snapper, ok := src.store.(tablestore.Snapshotter)
-	if workers <= 1 || !ok || src.store.RowCount() < parMinRows {
-		return out
+	if src.path != nil && src.path.kind != pathFull {
+		workers = 1
 	}
-	snap := snapper.Snapshot()
-	defer snap.Release()
-	var parts []tablestore.Partition
-	if psnap, isPruned := snap.(tablestore.PrunedSnap); isPruned && len(src.zoneBounds) > 0 {
-		parts, _, _ = psnap.PartitionsPruned(workers*morselsPerWorker, scanCols, src.zoneBounds)
-	} else {
-		parts = snap.Partitions(workers * morselsPerWorker)
+	pin := db.pinScan(src, scanCols, workers)
+	pin.snap.Release()
+	out := ""
+	if len(src.zoneBounds) > 0 {
+		out += fmt.Sprintf(", zone maps: %d/%d pages skipped", pin.pagesSkipped, pin.pagesRead+pin.pagesSkipped)
 	}
-	return out + fmt.Sprintf(", parallel: %d workers, %d partitions", workers, len(parts))
+	if pin.workers > 1 {
+		out += fmt.Sprintf(", parallel: %d workers, %d partitions", pin.workers, len(pin.parts))
+	}
+	return out
 }
 
 // explainDML renders the access path UPDATE/DELETE would use to locate

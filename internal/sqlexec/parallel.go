@@ -4,11 +4,9 @@ import (
 	"context"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // Morsel-driven parallel execution. Eligible pipeline fragments — the
@@ -22,11 +20,11 @@ import (
 //
 // Two invariants keep parallel plans exchangeable with serial ones:
 //
-//   - Readers never touch the engine lock. A parallel table scan pins a
-//     BufferPool epoch through tablestore.Snapshotter (the lock is held only
-//     for the Snapshot() call itself), and every morsel then reads frozen
-//     page versions with no lock at all — writers never block readers and
-//     readers never block writers.
+//   - Readers never touch the engine lock. A table scan pins a BufferPool
+//     epoch through Store.Snapshot (pinScan in scan.go; the lock is held
+//     only for the Snapshot call itself), and every morsel then reads
+//     frozen page versions with no lock at all — writers never block
+//     readers and readers never block writers.
 //   - Output is row-for-row identical to the serial executor. Morsel results
 //     are concatenated in partition order (= serial scan order); merged
 //     GROUP BY groups keep first-appearance order; partitioned hash joins
@@ -65,9 +63,10 @@ func (db *Database) parWorkers() int {
 	return w
 }
 
-// parPoll is a per-worker cancellation poller. execEnv.check counts ticks on
-// the shared execEnv and is therefore not safe for concurrent use; each
-// worker polls the context through its own counter instead.
+// parPoll is a per-goroutine cancellation poller. execEnv.check counts ticks
+// on the shared execEnv and is therefore not safe for concurrent use; each
+// worker, and each scan's rowFilter, polls the context through its own
+// counter instead.
 type parPoll struct {
 	ctx   context.Context
 	ticks int
@@ -130,131 +129,6 @@ func splitRows(total, n int) [][2]int {
 		}
 	}
 	return out
-}
-
-// --- parallel table scan ---
-
-// parScanSource scans one named-table FROM source through a pinned snapshot
-// with the worker pool: morsels are page-range partitions of the snapshot,
-// each worker filters its morsels with its own compiled predicate tree, and
-// the per-morsel outputs concatenate in partition order (= serial scan
-// order). It reports handled=false when the fragment is not eligible —
-// small table, index access path, serial mode, or a store without snapshot
-// support — and the caller falls back to the locked serial scan.
-func (db *Database) parScanSource(s *srcState, cols []colDesc, scanCols []int, env *execEnv) (rel *relation, handled bool, err error) {
-	workers := db.parWorkers()
-	if workers <= 1 || s.store == nil {
-		return nil, false, nil
-	}
-	if s.path != nil && s.path.kind != pathFull {
-		return nil, false, nil
-	}
-	snapper, ok := s.store.(tablestore.Snapshotter)
-	if !ok || s.store.RowCount() < parMinRows {
-		return nil, false, nil
-	}
-	// One predicate compile per worker, sequentially: compilation may fold
-	// RANGEVALUE through the shared sheet accessor, and the resulting trees
-	// carry per-tree scratch.
-	preds := make([][]boundExpr, workers)
-	for w := range preds {
-		if preds[w], err = compilePredicates(s.pushed, cols, env); err != nil {
-			return nil, false, err
-		}
-	}
-	// The engine lock is held only while the snapshot pins its epoch;
-	// every page read below runs lock-free against frozen versions.
-	db.mu.RLock()
-	snap := snapper.Snapshot()
-	db.mu.RUnlock()
-	defer snap.Release()
-
-	// Zone-map bounds drop provably matchless page ranges before morsel
-	// distribution, so skipped pages never reach a worker. usedPrune (not a
-	// nil check) gates the fallback: an empty pruned partition list is a
-	// valid result — every page was skipped.
-	var parts []tablestore.Partition
-	usedPrune := false
-	if len(s.zoneBounds) > 0 {
-		if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-			var read, skip int
-			parts, read, skip = psnap.PartitionsPruned(workers*morselsPerWorker, scanCols, s.zoneBounds)
-			db.pagesRead.Add(int64(read))
-			db.pagesSkipped.Add(int64(skip))
-			usedPrune = true
-		}
-	}
-	if !usedPrune {
-		parts = snap.Partitions(workers * morselsPerWorker)
-	}
-	if len(parts) == 0 {
-		return &relation{cols: cols}, true, nil
-	}
-	stable := snap.ScanColsStable(scanCols)
-	results := make([][][]sheet.Value, len(parts))
-	var cursor atomic.Int64
-	err = parRun(workers, func(w int) error {
-		return scanMorsels(snap, parts, &cursor, scanCols, preds[w], stable, env, results)
-	})
-	if err != nil {
-		return nil, false, err
-	}
-	rel = &relation{cols: cols}
-	total := 0
-	for _, rs := range results {
-		total += len(rs)
-	}
-	rel.rows = make([][]sheet.Value, 0, total)
-	for _, rs := range results {
-		rel.rows = append(rel.rows, rs...)
-	}
-	return rel, true, nil
-}
-
-// scanMorsels is one scan worker: it pulls morsel indexes from the shared
-// cursor until the queue drains, filtering each page-range partition into
-// its slot of results. It runs concurrently with writers and must never
-// acquire the engine lock — the snapshot serves frozen page versions
-// without it.
-//
-// dslint:nolock(engine)
-func scanMorsels(snap tablestore.TableSnap, parts []tablestore.Partition, cursor *atomic.Int64, scanCols []int, preds []boundExpr, stable bool, env *execEnv, results [][][]sheet.Value) error {
-	ctx := env.newRowCtx()
-	poll := parPoll{ctx: envCtx(env)}
-	var arena valueArena
-	for {
-		i := int(cursor.Add(1)) - 1
-		if i >= len(parts) {
-			return nil
-		}
-		var out [][]sheet.Value
-		var innerErr error
-		err := snap.ScanColsRange(parts[i], scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-			if innerErr = poll.check(); innerErr != nil {
-				return false
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				innerErr = err
-				return false
-			}
-			if keep {
-				if !stable {
-					row = arena.clone(row)
-				}
-				out = append(out, row)
-			}
-			return true
-		})
-		if err == nil {
-			err = innerErr
-		}
-		if err != nil {
-			return err
-		}
-		results[i] = out
-	}
 }
 
 // envCtx returns the execution's context (nil-safe).

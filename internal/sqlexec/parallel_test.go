@@ -120,39 +120,75 @@ func TestParallelGoldenEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelStreamGoldenEquivalence holds the lock-free snapshot streaming
-// path to the same standard against the materialising executor.
+// TestParallelStreamGoldenEquivalence holds the streaming executor to the
+// same standard: for every layout, each query streams under the default
+// configuration and under each forced mode (serial, full scan, no zone
+// skipping), and every run must match the serial materialising result row
+// for row. The queries cover full scans, primary-key point and range paths,
+// zone-skippable ranges, a filtered sub-select source and LIMIT/OFFSET.
 func TestParallelStreamGoldenEquivalence(t *testing.T) {
-	db := newParDB(t, LayoutHybrid)
-	sess := db.NewSession(nil)
-	for _, q := range []string{
+	queries := []string{
 		`SELECT id, qty FROM items WHERE qty > 30`,
 		`SELECT label FROM items WHERE grp = 11 LIMIT 17 OFFSET 3`,
 		`SELECT id FROM items`,
-	} {
-		db.SetForceSerial(true)
-		want, err := sess.Query(q)
-		if err != nil {
-			t.Fatalf("serial %s: %v", q, err)
-		}
-		db.SetForceSerial(false)
-		rows, err := sess.QueryStream(context.Background(), q)
-		if err != nil {
-			t.Fatalf("stream %s: %v", q, err)
-		}
-		var got [][]sheet.Value
-		for rows.Next() {
-			got = append(got, rows.Row())
-		}
-		if err := rows.Err(); err != nil {
-			t.Fatalf("stream %s: %v", q, err)
-		}
-		if len(got) != len(want.Rows) {
-			t.Fatalf("%s: streamed %d rows, want %d", q, len(got), len(want.Rows))
-		}
-		if !reflect.DeepEqual(want.Rows, got) {
-			t.Fatalf("%s: streamed rows diverged from serial result", q)
-		}
+		`SELECT id, label FROM items WHERE id = 4321`,
+		`SELECT id, qty FROM items WHERE id = 500`,
+		`SELECT id, grp FROM items WHERE id BETWEEN 1000 AND 1300 AND qty > 0`,
+		`SELECT id FROM items WHERE id IN (7, 3, 4100, 99999)`,
+		`SELECT id, qty FROM items WHERE id >= 5000`,
+		`SELECT id FROM items WHERE id < 200 AND label = 'item-4'`,
+		`SELECT x.id, x.qty FROM (SELECT id, qty FROM items WHERE qty < -40) x WHERE x.id > 2500`,
+		`SELECT id, label FROM items WHERE id > 3000 LIMIT 25 OFFSET 10`,
+		`SELECT id FROM items LIMIT 5 OFFSET 5190`,
+		`SELECT qty FROM items WHERE id < 40 LIMIT 0`,
+	}
+	modes := []struct {
+		name string
+		set  func(db *Database, on bool)
+	}{
+		{"default", func(*Database, bool) {}},
+		{"serial", (*Database).SetForceSerial},
+		{"fullscan", (*Database).SetForceFullScan},
+		{"noskip", (*Database).SetForceNoSkip},
+	}
+	for _, layout := range []Layout{LayoutRow, LayoutColumn, LayoutHybrid} {
+		t.Run(string(layout), func(t *testing.T) {
+			db := newParDB(t, layout)
+			sess := db.NewSession(nil)
+			for _, q := range queries {
+				db.SetForceSerial(true)
+				want, err := sess.Query(q)
+				if err != nil {
+					t.Fatalf("serial %s: %v", q, err)
+				}
+				db.SetForceSerial(false)
+				for _, m := range modes {
+					m.set(db, true)
+					rows, err := sess.QueryStream(context.Background(), q)
+					if err != nil {
+						t.Fatalf("stream %s (%s): %v", q, m.name, err)
+					}
+					var got [][]sheet.Value
+					for rows.Next() {
+						got = append(got, rows.Row())
+					}
+					err = rows.Err()
+					m.set(db, false)
+					if err != nil {
+						t.Fatalf("stream %s (%s): %v", q, m.name, err)
+					}
+					if !reflect.DeepEqual(want.Columns, rows.Columns()) {
+						t.Fatalf("%s (%s): columns %v, want %v", q, m.name, rows.Columns(), want.Columns)
+					}
+					if len(got) != len(want.Rows) {
+						t.Fatalf("%s (%s): streamed %d rows, want %d", q, m.name, len(got), len(want.Rows))
+					}
+					if len(got) > 0 && !reflect.DeepEqual(want.Rows, got) {
+						t.Fatalf("%s (%s): streamed rows diverged from serial result", q, m.name)
+					}
+				}
+			}
+		})
 	}
 }
 

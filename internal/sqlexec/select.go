@@ -1,7 +1,6 @@
 package sqlexec
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -13,19 +12,17 @@ import (
 	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
-// The streaming SELECT executor. A statement runs as a pipeline of
+// The SELECT executor. A statement runs as a pipeline of
 //
 //	scan -> filter -> join -> group -> sort/limit
 //
-// with three properties the old materialize-everything executor lacked:
-//
 //   - Predicate pushdown: WHERE conjuncts that reference a single FROM
-//     source are evaluated inside that source's scan, before rows are
-//     copied out of the storage manager (or, for RANGETABLE and sub-select
-//     sources, before rows flow into joins).
-//   - Projection pruning: named tables are scanned through ScanCols with
-//     only the referenced columns, so column and hybrid layouts never page
-//     in blocks of unreferenced attribute groups.
+//     source are evaluated inside that source's scan (scan.go), before rows
+//     are copied out of the storage manager (or, for RANGETABLE and
+//     sub-select sources, before rows flow into joins).
+//   - Projection pruning: named tables are scanned with only the
+//     referenced columns, so column and hybrid layouts never page in blocks
+//     of unreferenced attribute groups.
 //   - Bound evaluation: every expression is compiled once per execution
 //     against its relation schema (see bind.go); per-row evaluation never
 //     resolves names and never formats hash keys.
@@ -515,225 +512,6 @@ func (s *srcState) scanSchema() (cols []colDesc, scanCols []int) {
 		}
 	}
 	return cols, scanCols
-}
-
-// scanSource turns one FROM source into a relation: named tables stream
-// through ScanCols with only the needed columns and the pushed predicates
-// applied before rows are copied; materialised sources are filtered in
-// place. live=false short-circuits to an empty relation (a constant WHERE
-// conjunct was false). Named-table scans run under the database read lock,
-// so concurrent sessions' writes (serialised under the write lock) never
-// race the storage structures mid-scan.
-func (db *Database) scanSource(s *srcState, live bool, env *execEnv) (*relation, error) {
-	cols, scanCols := s.scanSchema()
-	rel := &relation{cols: cols}
-	if !live {
-		return rel, nil
-	}
-	if s.store == nil && len(s.pushed) == 0 {
-		// RANGETABLE / sub-select with nothing pushed: adopt the rows as-is.
-		rel.rows = s.rows
-		return rel, nil
-	}
-	// Large full scans of snapshot-capable stores fan out over the worker
-	// pool against a pinned epoch instead of scanning under the read lock.
-	if prel, handled, err := db.parScanSource(s, cols, scanCols, env); handled || err != nil {
-		return prel, err
-	}
-	var arena valueArena
-	err := db.scanSourceEach(s, env, cols, scanCols, func(row []sheet.Value, stable bool) error {
-		// Stable rows (materialised sources, index point reads, decoded-page
-		// scans) can be retained as-is; scratch-based scan rows need a copy.
-		if !stable {
-			row = arena.clone(row)
-		}
-		rel.rows = append(rel.rows, row)
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rel, nil
-}
-
-// scanSourceEach streams the kept rows of one FROM source — pushed
-// predicates applied, pruning decided by (cols, scanCols) from scanSchema —
-// to emit. stable reports whether the row survives beyond the callback;
-// emit returning an error stops the scan and surfaces that error.
-// Named-table iteration runs under the database read lock (predicates are
-// compiled — RANGEVALUE folds included — before it is taken), so emit must
-// not block on other goroutines: the streaming fast path batches under the
-// lock and sends outside it instead of using this helper directly.
-func (db *Database) scanSourceEach(s *srcState, env *execEnv, cols []colDesc, scanCols []int, emit func(row []sheet.Value, stable bool) error) error {
-	preds, err := compilePredicates(s.pushed, cols, env)
-	if err != nil {
-		return err
-	}
-	ctx := env.newRowCtx()
-	if s.store == nil {
-		// RANGETABLE / sub-select: rows are already materialised.
-		for _, row := range s.rows {
-			if err := env.check(); err != nil {
-				return err
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				return err
-			}
-			if keep {
-				if err := emit(row, true); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if s.path != nil && s.path.kind != pathFull {
-		return db.scanIndexPath(s, preds, ctx, scanCols, env, emit)
-	}
-	// Full scans with zone-map bounds walk a pruned snapshot of the store:
-	// the kept partitions cover exactly the pages a bound could match, and
-	// the pushed conjuncts still run on every surviving row, so the output
-	// equals the unpruned scan's row for row. (Still under the read lock —
-	// this is the serial path; the snapshot is only the pruning vehicle.)
-	if len(s.zoneBounds) > 0 {
-		if snapper, ok := s.store.(tablestore.Snapshotter); ok {
-			snap := snapper.Snapshot()
-			if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-				defer snap.Release()
-				parts, read, skip := psnap.PartitionsPruned(1, scanCols, s.zoneBounds)
-				db.pagesRead.Add(int64(read))
-				db.pagesSkipped.Add(int64(skip))
-				stable := snap.ScanColsStable(scanCols)
-				var scanErr error
-				for _, part := range parts {
-					err := snap.ScanColsRange(part, scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-						if scanErr = env.check(); scanErr != nil {
-							return false
-						}
-						ctx.row = row
-						keep, err := allPredicates(preds, ctx)
-						if err != nil {
-							scanErr = err
-							return false
-						}
-						if keep {
-							if scanErr = emit(row, stable); scanErr != nil {
-								return false
-							}
-						}
-						return true
-					})
-					if err == nil {
-						err = scanErr
-					}
-					if err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			snap.Release()
-		}
-	}
-	stable := s.store.ScanColsStable(scanCols)
-	var scanErr error
-	err = s.store.ScanCols(scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-		if scanErr = env.check(); scanErr != nil {
-			return false
-		}
-		ctx.row = row
-		keep, err := allPredicates(preds, ctx)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if keep {
-			if scanErr = emit(row, stable); scanErr != nil {
-				return false
-			}
-		}
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	return err
-}
-
-// scanIndexPath streams a source through its index access path: candidate
-// RowIDs come from the B-tree, candidate rows are point reads of only the
-// referenced columns (GetCols), and the pushed conjuncts are re-evaluated on
-// every candidate so the kept rows are exactly what the full scan would
-// keep. Non-ordered paths emit in RowID order (the full scan's order);
-// ordered paths emit in index order and may stop early.
-// dslint:requires(engine)
-func (db *Database) scanIndexPath(s *srcState, preds []boundExpr, ctx *rowCtx, fetchCols []int, env *execEnv, emit func(row []sheet.Value, stable bool) error) error {
-	table := s.tbl.Name
-	emitted := 0
-	pruner, _ := s.store.(tablestore.Pruner)
-	keep := func(id tablestore.RowID) (bool, error) {
-		if err := env.check(); err != nil {
-			return false, err
-		}
-		var row []sheet.Value
-		var err error
-		if pruner != nil && len(s.zoneBounds) > 0 {
-			// The page(s) holding the candidate may already prove it cannot
-			// match; a skipped candidate is dropped without decoding.
-			var zskip bool
-			row, zskip, err = pruner.GetColsPruned(id, fetchCols, s.zoneBounds)
-			if err == nil && zskip {
-				return true, nil
-			}
-		} else {
-			row, err = s.store.GetCols(id, fetchCols)
-		}
-		if err != nil {
-			// The candidate vanished between the index read and the fetch
-			// (no snapshot isolation at this level, as with full scans).
-			if errors.Is(err, tablestore.ErrRowNotFound) {
-				return true, nil
-			}
-			return false, err
-		}
-		ctx.row = row
-		ok, err := allPredicates(preds, ctx)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			if err := emit(row, true); err != nil {
-				return false, err
-			}
-			emitted++
-		}
-		return true, nil
-	}
-	if !s.path.ordered {
-		for _, id := range db.collectPathIDsLocked(table, s.path) {
-			if ok, err := keep(id); err != nil || !ok {
-				return err
-			}
-		}
-		return nil
-	}
-	var walkErr error
-	db.walkPathOrdered(table, s.path, func(id tablestore.RowID) bool {
-		ok, err := keep(id)
-		if err != nil {
-			walkErr = err
-			return false
-		}
-		if !ok {
-			return false
-		}
-		return s.path.earlyLimit <= 0 || emitted < s.path.earlyLimit
-	})
-	return walkErr
 }
 
 func compilePredicates(conjuncts []sqlparser.Expr, cols []colDesc, env *execEnv) ([]boundExpr, error) {

@@ -8,7 +8,6 @@ import (
 	"github.com/dataspread/dataspread/internal/dberr"
 	"github.com/dataspread/dataspread/internal/sheet"
 	"github.com/dataspread/dataspread/internal/sqlparser"
-	"github.com/dataspread/dataspread/internal/storage/tablestore"
 )
 
 // Streaming execution. StreamPrepared runs a SELECT on its own goroutine
@@ -196,7 +195,7 @@ func (db *Database) streamSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis,
 	return nil
 }
 
-// streamFetchBatch is how many candidate rows the streaming fast path
+// streamFetchBatch is how many index candidates the streaming fast path
 // fetches, filters and projects per database read-lock acquisition. Rows
 // are handed to the consumer between acquisitions, so the lock is never
 // held while the producer parks on the channel — concurrent writers
@@ -205,10 +204,11 @@ func (db *Database) streamSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis,
 const streamFetchBatch = 256
 
 // streamSimpleSelect streams scan → filter → project for a single-source
-// statement without materialising the result: candidate RowIDs are
-// collected first (cheap — ids only, no values), then rows are fetched,
-// filtered and projected in read-locked batches and yielded between
-// batches. A LIMIT stops after its quota of projected rows.
+// statement without materialising the result. Full scans stream lock-free
+// from a pinned snapshot, so a slow consumer parks only this goroutine and
+// writers never wait behind it; index paths fetch in read-locked batches
+// and yield between them; materialised sources are already private to this
+// execution. A LIMIT stops after its quota of projected rows.
 // dslint:parks(yield)
 func (db *Database) streamSimpleSelect(stmt *sqlparser.SelectStmt, an *selectAnalysis, env *execEnv, header func([]string), yield func([]sheet.Value) error) error {
 	plan, err := db.planInput(stmt, an, env)
@@ -249,220 +249,106 @@ func (db *Database) streamSimpleSelect(stmt *sqlparser.SelectStmt, an *selectAna
 		return nil
 	}
 
-	// Materialised sources (RANGETABLE / sub-select) need no locking: their
-	// rows are already private to this execution.
-	ctx := env.newRowCtx()
-	if src.store == nil {
-		skipped, emitted := 0, 0
-		for _, row := range src.rows {
-			if err := env.check(); err != nil {
-				return err
+	f := newRowFilter(preds, env)
+	skipped, emitted := 0, 0
+	// project applies OFFSET and the select list to the row f just kept; it
+	// returns nil for a row the OFFSET swallows.
+	project := func() ([]sheet.Value, error) {
+		if skipped < offset {
+			skipped++
+			return nil, nil
+		}
+		out := make([]sheet.Value, len(bound))
+		for i, be := range bound {
+			var err error
+			if out[i], err = be.eval(f.ctx); err != nil {
+				return nil, err
 			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
+		}
+		return out, nil
+	}
+	// send yields one projected row and ends the stream once LIMIT rows
+	// went out.
+	send := func(out []sheet.Value) error {
+		if err := yield(out); err != nil {
+			return err
+		}
+		emitted++
+		if limit >= 0 && emitted >= limit {
+			return errStreamDone
+		}
+		return nil
+	}
+	// emit projects and yields the row f just kept.
+	emit := func([]sheet.Value) error {
+		out, err := project()
+		if out == nil || err != nil {
+			return err
+		}
+		return send(out)
+	}
+
+	if src.store == nil {
+		for _, row := range src.rows {
+			ok, err := f.keep(row)
+			if ok {
+				err = emit(row)
+			}
 			if err != nil {
 				return err
 			}
-			if !keep {
-				continue
-			}
-			if skipped < offset {
-				skipped++
-				continue
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], err = be.eval(ctx); err != nil {
-					return err
-				}
-			}
-			if err := yield(out); err != nil {
+		}
+		return nil
+	}
+	if src.path == nil || src.path.kind == pathFull {
+		pin := db.pinScan(src, scanCols, 1)
+		defer pin.snap.Release()
+		db.countPages(src, pin)
+		for _, part := range pin.parts {
+			if err := f.partition(pin.snap, part, scanCols, emit); err != nil {
 				return err
-			}
-			emitted++
-			if limit >= 0 && emitted >= limit {
-				return errStreamDone
 			}
 		}
 		return nil
 	}
 
-	// Full scans of snapshot-capable stores stream lock-free: the engine
-	// lock is held only while the snapshot pins its epoch, and the scan then
-	// reads frozen page versions in one pass — no candidate-id phase, no
-	// batch re-locking, and no lock held while the consumer parks on the
-	// channel. Writers never wait behind this reader and the reader observes
-	// a consistent point-in-time image instead of read-committed batches.
-	if src.path == nil || src.path.kind == pathFull {
-		if snapper, ok := src.store.(tablestore.Snapshotter); ok {
-			return db.streamSnapshotScan(snapper, scanCols, src.zoneBounds, preds, bound, env, ctx, offset, limit, yield)
-		}
-	}
-
-	// Phase 1: candidate RowIDs. Index paths read the B-tree; full scans
-	// enumerate ids through a zero-column scan (no value decoding).
-	var ids []tablestore.RowID
-	if src.path != nil && src.path.kind != pathFull {
-		ids = db.collectPathIDs(src.tbl.Name, src.path)
-	} else {
-		var ctxErr error
-		db.mu.RLock()
-		err = src.store.ScanCols([]int{}, func(id tablestore.RowID, _ []sheet.Value) bool {
-			if ctxErr = env.check(); ctxErr != nil {
-				return false
-			}
-			ids = append(ids, id)
-			return true
-		})
-		db.mu.RUnlock()
-		if err == nil {
-			err = ctxErr
-		}
-		if err != nil {
-			return err
-		}
-	}
-
-	// Phase 2 (non-snapshot stores): fetch + filter + project in read-locked
-	// batches, yielding between acquisitions.
-	skipped, emitted := 0, 0
-	outBatch := make([][]sheet.Value, 0, streamFetchBatch)
+	// Index path: read the candidate ids, then fetch, filter and project
+	// them in read-locked batches, yielding each batch after the unlock.
+	db.mu.RLock()
+	ids := db.collectPathIDsLocked(src.tbl.Name, src.path)
+	db.mu.RUnlock()
+	batch := make([][]sheet.Value, 0, streamFetchBatch)
 	for start := 0; start < len(ids); start += streamFetchBatch {
-		end := start + streamFetchBatch
-		if end > len(ids) {
-			end = len(ids)
-		}
-		outBatch = outBatch[:0]
+		end := min(start+streamFetchBatch, len(ids))
+		batch = batch[:0]
+		var fetchErr error
 		db.mu.RLock()
 		for _, id := range ids[start:end] {
-			if err = env.check(); err != nil {
-				break
-			}
-			var row []sheet.Value
-			if row, err = src.store.GetCols(id, scanCols); err != nil {
-				// The candidate vanished between the id collection and the
-				// fetch (same read-committed semantics as the full scan).
-				if errors.Is(err, tablestore.ErrRowNotFound) {
-					err = nil
-					continue
+			fetchErr = f.fetch(src, id, scanCols, func([]sheet.Value) error {
+				out, err := project()
+				if out != nil {
+					batch = append(batch, out)
 				}
-				break
-			}
-			ctx.row = row
-			var keep bool
-			if keep, err = allPredicates(preds, ctx); err != nil {
-				break
-			}
-			if !keep {
-				continue
-			}
-			if skipped < offset {
-				skipped++
-				continue
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], err = be.eval(ctx); err != nil {
-					break
+				if err == nil && limit >= 0 && emitted+len(batch) >= limit {
+					err = errStreamDone
 				}
-			}
-			if err != nil {
-				break
-			}
-			outBatch = append(outBatch, out)
-			if limit >= 0 && emitted+len(outBatch) >= limit {
+				return err
+			})
+			if fetchErr != nil {
 				break
 			}
 		}
 		db.mu.RUnlock()
-		if err != nil {
-			return err
+		if fetchErr != nil && !errors.Is(fetchErr, errStreamDone) {
+			return fetchErr
 		}
-		for _, out := range outBatch {
-			if err := env.check(); err != nil {
+		for _, out := range batch {
+			if err := f.poll.check(); err != nil {
 				return err
 			}
-			if err := yield(out); err != nil {
+			if err := send(out); err != nil {
 				return err
 			}
-		}
-		emitted += len(outBatch)
-		if limit >= 0 && emitted >= limit {
-			return errStreamDone
-		}
-	}
-	return nil
-}
-
-// streamSnapshotScan is the lock-free streaming fast path: it pins a table
-// snapshot (the only moment the engine lock is touched) and streams
-// filter → project → yield over the frozen pages in a single pass. The scan
-// holds no lock, so yielding to a slow consumer parks nothing but this
-// goroutine and concurrent writers proceed untouched; superseded page
-// versions drain when the snapshot releases its epoch.
-// dslint:parks(yield)
-func (db *Database) streamSnapshotScan(snapper tablestore.Snapshotter, scanCols []int, bounds []tablestore.ZoneBound, preds, bound []boundExpr, env *execEnv, ctx *rowCtx, offset, limit int, yield func([]sheet.Value) error) error {
-	db.mu.RLock()
-	snap := snapper.Snapshot()
-	db.mu.RUnlock()
-	defer snap.Release()
-	// Zone-map bounds narrow the scan to partitions a bound could match
-	// (usedPrune, not a nil check: an all-skipped scan prunes to zero parts).
-	var parts []tablestore.Partition
-	usedPrune := false
-	if len(bounds) > 0 {
-		if psnap, ok := snap.(tablestore.PrunedSnap); ok {
-			var read, skip int
-			parts, read, skip = psnap.PartitionsPruned(1, scanCols, bounds)
-			db.pagesRead.Add(int64(read))
-			db.pagesSkipped.Add(int64(skip))
-			usedPrune = true
-		}
-	}
-	if !usedPrune {
-		parts = snap.Partitions(1)
-	}
-	skipped, emitted := 0, 0
-	var inner error
-	for _, part := range parts {
-		err := snap.ScanColsRange(part, scanCols, func(_ tablestore.RowID, row []sheet.Value) bool {
-			if inner = env.check(); inner != nil {
-				return false
-			}
-			ctx.row = row
-			keep, err := allPredicates(preds, ctx)
-			if err != nil {
-				inner = err
-				return false
-			}
-			if !keep {
-				return true
-			}
-			if skipped < offset {
-				skipped++
-				return true
-			}
-			out := make([]sheet.Value, len(bound))
-			for i, be := range bound {
-				if out[i], inner = be.eval(ctx); inner != nil {
-					return false
-				}
-			}
-			if inner = yield(out); inner != nil {
-				return false
-			}
-			emitted++
-			if limit >= 0 && emitted >= limit {
-				inner = errStreamDone
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = inner
-		}
-		if err != nil {
-			return err
 		}
 	}
 	return nil

@@ -6,35 +6,12 @@ import (
 	"github.com/dataspread/dataspread/internal/sheet"
 )
 
-// Page-level data skipping. Pruner and PrunedSnap are optional capabilities
-// — deliberately separate from Store and TableSnap, mirroring Snapshotter —
-// that the executor type-asserts; absence (a fake, a store without zone
-// maps) degrades to reading every page, never to wrong results. A skip is
+// Page-level data skipping. Every layout serves two skipping entry points:
+// TableSnap.Partitions with zone bounds (snapshot scans never visit the
+// page ranges the bounds rule out) and Store.GetColsPruned (index fetches
+// drop a candidate whose page is ruled out without decoding it). A skip is
 // taken only when a page's zone summary PROVES no stored value can satisfy a
 // pushed conjunct, so pruned and unpruned scans are row-for-row identical.
-
-// Pruner is the store-level skipping capability, served under the engine
-// lock like any other Store call.
-type Pruner interface {
-	// PruneStats reports how many physical pages a ScanCols over cols
-	// (nil = all columns) would touch, and how many of those the given
-	// bounds prove skippable. Used by EXPLAIN and the benchmarks.
-	PruneStats(cols []int, bounds []ZoneBound) (total, skipped int)
-	// GetColsPruned is GetCols that first consults the zone maps of the
-	// page(s) holding id: when a bound proves the row cannot match, it
-	// reports skipped=true without paging in or decoding anything.
-	GetColsPruned(id RowID, cols []int, bounds []ZoneBound) (row []sheet.Value, skipped bool, err error)
-}
-
-// PrunedSnap is the snapshot-level skipping capability: Partitions with the
-// skippable page ranges already removed, so parallel workers never see them.
-type PrunedSnap interface {
-	// PartitionsPruned is Partitions(n) minus the ranges the bounds prove
-	// empty of matches. cols (nil = all) names the columns the scan will
-	// read, for page accounting only. Returns the partitions plus the
-	// physical page counts the pruned scan will read and has skipped.
-	PartitionsPruned(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
-}
 
 // --- row layout (page-index space) ---
 
@@ -53,28 +30,7 @@ func rowPageSkips(zones []*pageZones, pi int, bounds []ZoneBound) bool {
 	return false
 }
 
-func rowKeptPages(zones []*pageZones, nPages int, bounds []ZoneBound) []Partition {
-	skip := skipIntervalsFor(nPages, 1, nPages, func(pi int) bool {
-		return rowPageSkips(zones, pi, bounds)
-	})
-	return complementParts(nPages, skip)
-}
-
-// PruneStats implements Pruner.
-func (s *RowStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	total = len(s.pages)
-	if len(bounds) == 0 {
-		return total, 0
-	}
-	kept := rowKeptPages(s.zones, total, bounds)
-	read := 0
-	for _, p := range kept {
-		read += p.Hi - p.Lo
-	}
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
+// GetColsPruned implements Store.
 func (s *RowStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
 	if pi, ok := s.dir[id]; ok && rowPageSkips(s.zones, pi, bounds) {
 		return nil, true, nil
@@ -83,15 +39,15 @@ func (s *RowStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sh
 	return row, false, err
 }
 
-// PartitionsPruned implements PrunedSnap. Row partitions are page indexes,
-// so kept runs translate directly.
-func (s *rowSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	kept := rowKeptPages(s.zones, len(s.pages), bounds)
-	read := 0
-	for _, p := range kept {
-		read += p.Hi - p.Lo
-	}
-	return splitRuns(kept, n), read, len(s.pages) - read
+// Partitions implements TableSnap. Row partitions are page indexes, so kept
+// runs translate directly.
+func (s *rowSnap) Partitions(n int, _ []int, bounds []ZoneBound) ([]Partition, int, int) {
+	total := len(s.pages)
+	kept := complementParts(total, skipIntervalsFor(total, 1, total, func(pi int) bool {
+		return rowPageSkips(s.zones, pi, bounds)
+	}))
+	read := overlapCount(kept, 1, total)
+	return splitRuns(kept, n), read, total - read
 }
 
 // --- column layout (slot space, uniform valuesPerPage granularity) ---
@@ -111,38 +67,7 @@ func colChunkSkips(cols []colPages, ci int, bounds []ZoneBound) bool {
 	return false
 }
 
-func colKeptRuns(cols []colPages, slotCount int, bounds []ZoneBound) []Partition {
-	nChunks := (slotCount + valuesPerPage - 1) / valuesPerPage
-	skip := skipIntervalsFor(nChunks, valuesPerPage, slotCount, func(ci int) bool {
-		return colChunkSkips(cols, ci, bounds)
-	})
-	return complementParts(slotCount, skip)
-}
-
-// colPageStats converts kept slot runs into physical page counts over the
-// wanted columns.
-func colPageStats(kept []Partition, slotCount, wantCols int) (total, read int) {
-	nChunks := (slotCount + valuesPerPage - 1) / valuesPerPage
-	readChunks := overlapCount(kept, valuesPerPage, nChunks)
-	return nChunks * wantCols, readChunks * wantCols
-}
-
-// PruneStats implements Pruner.
-func (s *ColStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	want := len(cols)
-	if cols == nil {
-		want = len(s.cols)
-	}
-	if len(bounds) == 0 {
-		nChunks := (s.slotCount + valuesPerPage - 1) / valuesPerPage
-		return nChunks * want, 0
-	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	total, read := colPageStats(kept, s.slotCount, want)
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
+// GetColsPruned implements Store.
 func (s *ColStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
 	if id > 0 && id < s.nextID {
 		if ci := int(id-1) / valuesPerPage; colChunkSkips(s.cols, ci, bounds) {
@@ -153,35 +78,39 @@ func (s *ColStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sh
 	return row, false, err
 }
 
-// PartitionsPruned implements PrunedSnap.
-func (s *colSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+// Partitions implements TableSnap. Column partitions are slots; every
+// wanted column reads one page per kept chunk of valuesPerPage slots.
+func (s *colSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
 	want := len(cols)
 	if cols == nil {
 		want = len(s.cols)
 	}
-	kept := colKeptRuns(s.cols, s.slotCount, bounds)
-	total, read := colPageStats(kept, s.slotCount, want)
-	return splitRuns(kept, n), read, total - read
+	nChunks := (s.slotCount + valuesPerPage - 1) / valuesPerPage
+	kept := complementParts(s.slotCount, skipIntervalsFor(nChunks, valuesPerPage, s.slotCount, func(ci int) bool {
+		return colChunkSkips(s.cols, ci, bounds)
+	}))
+	read := overlapCount(kept, valuesPerPage, nChunks)
+	return splitRuns(kept, n), read * want, (nChunks - read) * want
 }
 
 // --- hybrid layout (slot space, per-group granularity) ---
 
-// hybridSkipRuns unions each bound's skippable slot intervals; bounds land
+// skipRuns unions each bound's skippable slot intervals; bounds land
 // on different groups with different rows-per-page, so intervals are
 // computed per bound and merged.
-func hybridSkipRuns(groups []attrGroup, colMap []colLocation, slotCount int, bounds []ZoneBound) []Partition {
+func (s *hybridSnap) skipRuns(bounds []ZoneBound) []Partition {
 	var skip []Partition
 	for i := range bounds {
 		b := &bounds[i]
-		if b.Col < 0 || b.Col >= len(colMap) {
+		if b.Col < 0 || b.Col >= len(s.colMap) {
 			continue
 		}
-		loc := colMap[b.Col]
-		g := &groups[loc.group]
+		loc := s.colMap[b.Col]
+		g := &s.groups[loc.group]
 		if g.width == 0 || g.rowsPer <= 0 {
 			continue
 		}
-		cur := skipIntervalsFor(len(g.zones), g.rowsPer, slotCount, func(pi int) bool {
+		cur := skipIntervalsFor(len(g.zones), g.rowsPer, s.slotCount, func(pi int) bool {
 			pz := g.zones[pi]
 			return pz != nil && loc.offset < len(pz.cols) && pz.cols[loc.offset].Skips(*b)
 		})
@@ -190,27 +119,27 @@ func hybridSkipRuns(groups []attrGroup, colMap []colLocation, slotCount int, bou
 	return skip
 }
 
-// hybridPageStats accumulates page counts over the distinct groups serving
+// pageStats accumulates page counts over the distinct groups serving
 // the wanted columns.
-func hybridPageStats(groups []attrGroup, colMap []colLocation, kept []Partition, slotCount int, cols []int) (total, read int) {
+func (s *hybridSnap) pageStats(kept []Partition, cols []int) (total, read int) {
 	wantGroups := make(map[int]bool)
 	if cols == nil {
-		for _, loc := range colMap {
+		for _, loc := range s.colMap {
 			wantGroups[loc.group] = true
 		}
 	} else {
 		for _, c := range cols {
-			if c >= 0 && c < len(colMap) {
-				wantGroups[colMap[c].group] = true
+			if c >= 0 && c < len(s.colMap) {
+				wantGroups[s.colMap[c].group] = true
 			}
 		}
 	}
 	for gi := range wantGroups {
-		g := &groups[gi]
+		g := &s.groups[gi]
 		if g.width == 0 || g.rowsPer <= 0 {
 			continue
 		}
-		n := (slotCount + g.rowsPer - 1) / g.rowsPer
+		n := (s.slotCount + g.rowsPer - 1) / g.rowsPer
 		if n > len(g.pages) {
 			n = len(g.pages)
 		}
@@ -220,19 +149,7 @@ func hybridPageStats(groups []attrGroup, colMap []colLocation, kept []Partition,
 	return total, read
 }
 
-// PruneStats implements Pruner.
-func (s *HybridStore) PruneStats(cols []int, bounds []ZoneBound) (total, skipped int) {
-	var kept []Partition
-	if len(bounds) == 0 {
-		kept = complementParts(s.slotCount, nil)
-	} else {
-		kept = complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
-	}
-	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
-	return total, total - read
-}
-
-// GetColsPruned implements Pruner.
+// GetColsPruned implements Store.
 func (s *HybridStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([]sheet.Value, bool, error) {
 	if id > 0 && id < s.nextID {
 		slot := int(id - 1)
@@ -257,10 +174,10 @@ func (s *HybridStore) GetColsPruned(id RowID, cols []int, bounds []ZoneBound) ([
 	return row, false, err
 }
 
-// PartitionsPruned implements PrunedSnap.
-func (s *hybridSnap) PartitionsPruned(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
-	kept := complementParts(s.slotCount, hybridSkipRuns(s.groups, s.colMap, s.slotCount, bounds))
-	total, read := hybridPageStats(s.groups, s.colMap, kept, s.slotCount, cols)
+// Partitions implements TableSnap. Hybrid partitions are slots.
+func (s *hybridSnap) Partitions(n int, cols []int, bounds []ZoneBound) ([]Partition, int, int) {
+	kept := complementParts(s.slotCount, s.skipRuns(bounds))
+	total, read := s.pageStats(kept, cols)
 	return splitRuns(kept, n), read, total - read
 }
 
@@ -347,13 +264,3 @@ func validateTuplZones(pz *pageZones, rows [][]sheet.Value, width int, what stri
 	}
 	return nil
 }
-
-var (
-	_ Pruner = (*RowStore)(nil)
-	_ Pruner = (*ColStore)(nil)
-	_ Pruner = (*HybridStore)(nil)
-
-	_ PrunedSnap = (*rowSnap)(nil)
-	_ PrunedSnap = (*colSnap)(nil)
-	_ PrunedSnap = (*hybridSnap)(nil)
-)

@@ -23,12 +23,13 @@ import (
 // at least read-held) because it reads the store's mutable fields; every
 // method on the returned TableSnap is safe without any lock.
 //
-// Scans are partitionable for morsel-driven parallelism: Partitions(n)
-// splits the row space into up to n contiguous ranges such that running
+// Scans are partitionable for morsel-driven parallelism: Partitions splits
+// the row space into about n contiguous ranges such that running
 // ScanColsRange over the partitions in order yields exactly the rows, in
-// exactly the order, a full ScanCols would. Partition bounds are in
-// layout-defined units (page indexes for the row layout, slots for the
-// column and hybrid layouts); callers treat them as opaque.
+// exactly the order, a full ScanCols would — minus the page ranges zone
+// bounds prove matchless (prune.go). Partition bounds are in layout-defined
+// units (page indexes for the row layout, slots for the column and hybrid
+// layouts); callers treat them as opaque.
 
 // Partition is one contiguous range of a snapshot's row space, [Lo, Hi) in
 // units the layout defines. Obtain partitions from TableSnap.Partitions and
@@ -43,10 +44,14 @@ type TableSnap interface {
 	RowCount() int
 	// ColumnCount returns the table width at snapshot time.
 	ColumnCount() int
-	// Partitions splits the snapshot into at most n non-empty contiguous
-	// ranges covering every row; concatenating ScanColsRange outputs in
-	// partition order reproduces the serial scan order exactly.
-	Partitions(n int) []Partition
+	// Partitions splits the snapshot into about n non-empty contiguous
+	// ranges; concatenating ScanColsRange outputs in partition order
+	// reproduces the serial scan order exactly. Nil bounds cover every row;
+	// otherwise the ranges the bounds prove empty of matches are left out,
+	// so a pruned scan never visits them. cols (nil = all) names the
+	// columns the scan will read, for page accounting only: pagesRead and
+	// pagesSkipped are the physical pages the scan reads and skips.
+	Partitions(n int, cols []int, bounds []ZoneBound) (parts []Partition, pagesRead, pagesSkipped int)
 	// ScanColsRange is ScanCols restricted to one partition. cols == nil
 	// scans all columns. Distinct partitions may be scanned concurrently
 	// from different goroutines.
@@ -62,16 +67,6 @@ type TableSnap interface {
 	Release()
 }
 
-// Snapshotter is implemented by layouts that can serve lock-free snapshot
-// scans. It is deliberately separate from Store so existing implementations
-// and fakes keep compiling; executors type-assert and fall back to locked
-// scans when absent.
-type Snapshotter interface {
-	// Snapshot pins the current state. Call with writers excluded; use the
-	// returned TableSnap without any lock; Release when done.
-	Snapshot() TableSnap
-}
-
 // epochPin funnels the release-once discipline shared by all snapshots.
 type epochPin struct {
 	pool    *pager.BufferPool
@@ -81,27 +76,6 @@ type epochPin struct {
 
 func (p *epochPin) Release() {
 	p.release.Do(func() { p.pool.ReleaseEpoch(p.epoch) })
-}
-
-// splitRange cuts [0, total) into at most n non-empty contiguous pieces.
-func splitRange(total, n int) []Partition {
-	if total <= 0 {
-		return nil
-	}
-	if n < 1 {
-		n = 1
-	}
-	if n > total {
-		n = total
-	}
-	parts := make([]Partition, 0, n)
-	for i := 0; i < n; i++ {
-		lo, hi := total*i/n, total*(i+1)/n
-		if hi > lo {
-			parts = append(parts, Partition{Lo: lo, Hi: hi})
-		}
-	}
-	return parts
 }
 
 // --- row layout ---
@@ -115,7 +89,7 @@ type rowSnap struct {
 	rowCount int
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Store.
 func (s *RowStore) Snapshot() TableSnap {
 	snap := &rowSnap{
 		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
@@ -130,9 +104,6 @@ func (s *RowStore) Snapshot() TableSnap {
 
 func (s *rowSnap) RowCount() int    { return s.rowCount }
 func (s *rowSnap) ColumnCount() int { return s.width }
-
-// Partitions splits by page index: pages enumerate rows in scan order.
-func (s *rowSnap) Partitions(n int) []Partition { return splitRange(len(s.pages), n) }
 
 func (s *rowSnap) ScanColsStable(cols []int) bool { return cols == nil }
 
@@ -182,7 +153,7 @@ type colSnap struct {
 	rowCount  int
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Store.
 func (s *ColStore) Snapshot() TableSnap {
 	snap := &colSnap{
 		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
@@ -205,9 +176,6 @@ func (s *ColStore) Snapshot() TableSnap {
 
 func (s *colSnap) RowCount() int    { return s.rowCount }
 func (s *colSnap) ColumnCount() int { return len(s.cols) }
-
-// Partitions splits by slot.
-func (s *colSnap) Partitions(n int) []Partition { return splitRange(s.slotCount, n) }
 
 func (s *colSnap) ScanColsStable([]int) bool { return false }
 
@@ -280,7 +248,7 @@ type hybridSnap struct {
 	rowCount  int
 }
 
-// Snapshot implements Snapshotter.
+// Snapshot implements Store.
 func (s *HybridStore) Snapshot() TableSnap {
 	snap := &hybridSnap{
 		epochPin: epochPin{pool: s.pool, epoch: s.pool.OpenEpoch()},
@@ -304,9 +272,6 @@ func (s *HybridStore) Snapshot() TableSnap {
 
 func (s *hybridSnap) RowCount() int    { return s.rowCount }
 func (s *hybridSnap) ColumnCount() int { return len(s.colMap) }
-
-// Partitions splits by slot.
-func (s *hybridSnap) Partitions(n int) []Partition { return splitRange(s.slotCount, n) }
 
 // singleGroupScan mirrors HybridStore.singleGroupScan over the captured
 // structure.
@@ -471,9 +436,3 @@ func cloneDeleted(m map[RowID]bool) map[RowID]bool {
 	}
 	return out
 }
-
-var (
-	_ Snapshotter = (*RowStore)(nil)
-	_ Snapshotter = (*ColStore)(nil)
-	_ Snapshotter = (*HybridStore)(nil)
-)

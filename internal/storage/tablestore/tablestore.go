@@ -62,14 +62,15 @@ type Store interface {
 	// fn returns false. The row passed to fn is owned by the caller.
 	// dslint:perrow
 	Scan(fn func(id RowID, row []sheet.Value) bool) error
-	// ScanCols is the streaming scan used by the query executor: fn is
-	// called for every live tuple in RowID order, materializing only the
-	// columns listed in cols (nil means all columns, in schema order), so
-	// layouts that store columns apart — ColStore, HybridStore — never page
-	// in blocks of unreferenced columns. row[i] holds the value of column
-	// cols[i]. Unless ScanColsStable(cols) reports true, the row slice is
-	// reused between calls: fn must copy any value it retains. fn must
-	// never modify the slice contents.
+	// ScanCols is the serial scan that snapshot scans
+	// (TableSnap.ScanColsRange, which the query executor uses) reproduce:
+	// fn is called for every live tuple in RowID order, materializing only
+	// the columns listed in cols (nil means all columns, in schema order),
+	// so layouts that store columns apart — ColStore, HybridStore — never
+	// page in blocks of unreferenced columns. row[i] holds the value of
+	// column cols[i]. Unless ScanColsStable(cols) reports true, the row
+	// slice is reused between calls: fn must copy any value it retains. fn
+	// must never modify the slice contents.
 	// dslint:perrow
 	ScanCols(cols []int, fn func(id RowID, row []sheet.Value) bool) error
 	// ScanColsStable reports whether the rows a ScanCols(cols, ...) call
@@ -97,6 +98,15 @@ type Store interface {
 	// Pages returns the physical backend pages the store currently
 	// references, for checkpoint reachability and protection sets.
 	Pages() []pager.PageID
+	// Snapshot pins the current state for lock-free reads (snapshot.go).
+	// Call it with writers excluded; use the returned TableSnap without any
+	// lock and Release it when done.
+	Snapshot() TableSnap
+	// GetColsPruned is GetCols that first consults the zone maps of the
+	// page(s) holding id (prune.go): when a bound proves the row cannot
+	// match, it reports skipped=true without paging in or decoding
+	// anything. Nil bounds never skip.
+	GetColsPruned(id RowID, cols []int, bounds []ZoneBound) (row []sheet.Value, skipped bool, err error)
 }
 
 // rowsPerPage / valuesPerPage control how many entries are packed per block.
